@@ -384,7 +384,7 @@ let query_cmd =
   let run path family qtext trace slow_ms slow_log trace_out =
     with_trace trace_out @@ fun () ->
     with_context path (fun spec c p ->
-        match Query.Parser.parse qtext with
+        match Shell.Session.parse_query spec qtext with
         | Error e ->
           Format.eprintf "error: %s@." e;
           1
@@ -506,7 +506,7 @@ let explain_cmd =
   in
   let run path family qtext =
     with_context path (fun spec c p ->
-        match Query.Parser.parse qtext with
+        match Shell.Session.parse_query spec qtext with
         | Error e ->
           Format.eprintf "error: %s@." e;
           1
@@ -545,7 +545,7 @@ let plan_cmd =
   in
   let run path qtext json =
     with_context path (fun spec _c _p ->
-        match Query.Parser.parse qtext with
+        match Shell.Session.parse_query spec qtext with
         | Error e ->
           Format.eprintf "error: %s@." e;
           1
@@ -809,19 +809,19 @@ let profile_cmd =
          & info [] ~docv:"QUERY" ~doc:"First-order query text.")
   in
   let run path family qtext trace_out =
-    match Query.Parser.parse qtext with
-    | Error e ->
-      Format.eprintf "error: %s@." e;
-      1
-    | Ok q ->
-      let buf = Obs.Sink.Memory.create () in
-      Obs.Span.set_sink (Some (Obs.Sink.Memory.sink buf));
-      let t0 = Unix.gettimeofday () in
-      let code =
-        (* one root span brackets everything measured, so the profile
-           tree accounts for (almost) all of the wall time below *)
-        Obs.Span.with_span "profile" @@ fun () ->
-        with_context path (fun _spec c p ->
+    let buf = Obs.Sink.Memory.create () in
+    Obs.Span.set_sink (Some (Obs.Sink.Memory.sink buf));
+    let t0 = Unix.gettimeofday () in
+    let code =
+      (* one root span brackets everything measured, so the profile
+         tree accounts for (almost) all of the wall time below *)
+      Obs.Span.with_span "profile" @@ fun () ->
+      with_context path (fun spec c p ->
+          match Shell.Session.parse_query spec qtext with
+          | Error e ->
+            Format.eprintf "error: %s@." e;
+            1
+          | Ok q ->
             let d = Core.Decompose.make c p in
             if Query.Ast.is_closed q then begin
               Format.printf "%s-consistent answer: %s@."
@@ -837,9 +837,11 @@ let profile_cmd =
               Format.printf "%d certain answer(s)@." (List.length rows);
               0
             end)
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      Obs.Span.set_sink None;
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    Obs.Span.set_sink None;
+    (* a run that failed (bad file, bad query) has nothing to profile *)
+    if code = 0 then begin
       let events = Obs.Sink.Memory.events buf in
       let nodes = Obs.Profile.tree events in
       let covered = Obs.Profile.total nodes in
@@ -848,12 +850,13 @@ let profile_cmd =
         pp_seconds wall
         (if wall > 0. then 100. *. covered /. wall else 100.)
         (List.length events);
-      (match trace_out with
+      match trace_out with
       | None -> ()
       | Some out ->
         write_trace out events;
-        Format.printf "trace written to %s@." out);
-      code
+        Format.printf "trace written to %s@." out
+    end;
+    code
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1425,8 +1428,8 @@ let hyper_query_cmd =
   in
   let run path family text trace_out =
     with_trace trace_out @@ fun () ->
-    with_hyper path (fun _spec h p ->
-        match Query.Parser.parse text with
+    with_hyper path (fun spec h p ->
+        match Shell.Session.parse_query spec text with
         | Error e ->
           Format.eprintf "error: %s@." e;
           1

@@ -27,9 +27,9 @@ type t
     underlying [Conflict.t]/[Priority.t]/[Decompose.t] values remain
     persistent — snapshots taken via the accessors stay valid. *)
 
-type op = Insert of Tuple.t | Delete of Tuple.t
+type op = Component.op = Insert of Tuple.t | Delete of Tuple.t
 
-type report = {
+type report = Component.report = {
   inserted : int;
   deleted : int;
   edges_added : int;  (** conflict edges the batch created *)

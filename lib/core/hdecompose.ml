@@ -1,867 +1,49 @@
-open Relational
 open Graphs
-
-(* {!Decompose} lifted to the hyperedge substrate: component sharding,
-   free-vertex aggregation, the slot-stable component array, the
-   per-slot preferred-repair cache and the Pool-parallel warm / count /
-   certainty paths all carry over — with two hypergraph-specific
-   differences. (1) "Conflict-free" means covered by NO hyperedge, not
-   "has no neighbors": a vertex in a singleton edge {v} has no
-   neighbors yet is inconsistent alone, forms its own one-vertex
-   component and contributes the empty repair. (2) The per-component
-   sub-instances rebuild through {!Hyper.build}, whose violation
-   re-detection on the induced tuples reproduces exactly the
-   component's edges (witnesses are hereditary under restriction). *)
-
-type counters = {
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable component_repairs : int;
-  mutable combos_streamed : int;
-  mutable components_examined : int;
-  mutable early_exits : int;
-  mutable deltas_applied : int;
-  mutable edges_added : int;
-  mutable edges_removed : int;
-  mutable components_dirtied : int;
-  mutable cache_evicted : int;
-  mutable cache_retained : int;
-}
-
-let fresh_counters () =
-  {
-    cache_hits = 0;
-    cache_misses = 0;
-    component_repairs = 0;
-    combos_streamed = 0;
-    components_examined = 0;
-    early_exits = 0;
-    deltas_applied = 0;
-    edges_added = 0;
-    edges_removed = 0;
-    components_dirtied = 0;
-    cache_evicted = 0;
-    cache_retained = 0;
-  }
-
-(* Parallel jobs shard their counting into per-lane records and the
-   submitting domain folds the shards back in after the join (integer
-   addition commutes, so totals are schedule-independent). *)
-let merge_counters dst z =
-  dst.cache_hits <- dst.cache_hits + z.cache_hits;
-  dst.cache_misses <- dst.cache_misses + z.cache_misses;
-  dst.component_repairs <- dst.component_repairs + z.component_repairs;
-  dst.combos_streamed <- dst.combos_streamed + z.combos_streamed;
-  dst.components_examined <- dst.components_examined + z.components_examined;
-  dst.early_exits <- dst.early_exits + z.early_exits;
-  dst.deltas_applied <- dst.deltas_applied + z.deltas_applied;
-  dst.edges_added <- dst.edges_added + z.edges_added;
-  dst.edges_removed <- dst.edges_removed + z.edges_removed;
-  dst.components_dirtied <- dst.components_dirtied + z.components_dirtied;
-  dst.cache_evicted <- dst.cache_evicted + z.cache_evicted;
-  dst.cache_retained <- dst.cache_retained + z.cache_retained
-
-type t = {
-  hyper : Hyper.t;
-  priority : Hpriority.t;
-  components : Vset.t array;
-      (* multi-vertex (or covered-singleton) components, indexed by
-         component SLOT; [Vset.empty] marks a free slot *)
-  free : Vset.t;
-      (* live vertices covered by no hyperedge, aggregated into ONE set;
-         a free vertex belongs to every preferred repair *)
-  comp_index : int array;
-      (* slot of the vertex's component; -1 = free or tombstoned *)
-  cache : (Hfamily.name * int, Vset.t list) Hashtbl.t;
-      (* (family, component slot) -> preferred repairs in original ids *)
-  counters : counters;
-}
-
-let make hyper priority =
-  Obs.Span.with_span "hdecompose.make" @@ fun () ->
-  let hg = Hyper.hypergraph hyper in
-  let covered = Hypergraph.covered hg in
-  let live = Hyper.live hyper in
-  let n = Hyper.size hyper in
-  let comp_index = Array.make (max 1 n) (-1) in
-  let comps = ref [] in
-  let nslots = ref 0 in
-  (* covered vertices only: tombstones and edge-free live tuples never
-     allocate a component. A singleton-edge vertex is covered with no
-     neighbors and becomes a one-vertex component. *)
-  for v = 0 to n - 1 do
-    if comp_index.(v) < 0 && Vset.mem v live && Vset.mem v covered then begin
-      let rec grow frontier comp =
-        if Vset.is_empty frontier then comp
-        else begin
-          let comp = Vset.union comp frontier in
-          let next =
-            Vset.fold
-              (fun u acc -> Vset.union acc (Hypergraph.neighbors hg u))
-              frontier Vset.empty
-          in
-          grow (Vset.diff next comp) comp
-        end
-      in
-      let comp = grow (Vset.singleton v) Vset.empty in
-      Vset.iter (fun u -> comp_index.(u) <- !nslots) comp;
-      incr nslots;
-      comps := comp :: !comps
-    end
-  done;
-  let components = Array.of_list (List.rev !comps) in
-  let free = Vset.diff live covered in
-  if Obs.Span.enabled () then
-    Obs.Span.annotate
-      [
-        ( "components",
-          Obs.Event.Int (Array.length components + Vset.cardinal free) );
-      ];
-  {
-    hyper;
-    priority;
-    components;
-    free;
-    comp_index;
-    cache = Hashtbl.create 16;
-    counters = fresh_counters ();
-  }
-
-let hyper d = d.hyper
-let priority d = d.priority
-
-(* logical components in canonical order; free vertices are synthesized
-   back into singleton sets — reporting only, never the hot path *)
-let components d =
-  let multi =
-    List.filter
-      (fun comp -> not (Vset.is_empty comp))
-      (Array.to_list d.components)
-  in
-  let singles = List.rev_map Vset.singleton (Vset.elements d.free) in
-  List.sort
-    (fun a b -> compare (Vset.min_elt a) (Vset.min_elt b))
-    (List.rev_append singles multi)
-
-(* live slots of the stored components, ascending *)
-let live_slots d =
-  let acc = ref [] in
-  for ci = Array.length d.components - 1 downto 0 do
-    if not (Vset.is_empty d.components.(ci)) then acc := ci :: !acc
-  done;
-  !acc
-
-let fold_components f acc d =
-  Array.fold_left
-    (fun acc comp -> if Vset.is_empty comp then acc else f acc comp)
-    acc d.components
-
-(* [List.length (components d)] without materializing: the synthesized
-   free singletons would each be a dense [Vset] sized by the fact id,
-   which on a million-fact instance is gigabytes of reporting garbage. *)
-let component_count d =
-  Array.fold_left
-    (fun acc comp -> if Vset.is_empty comp then acc else acc + 1)
-    (Vset.cardinal d.free) d.components
-
-let max_component d =
-  Array.fold_left
-    (fun acc comp -> max acc (Vset.cardinal comp))
-    (if Vset.is_empty d.free then 0 else 1)
-    d.components
-
-(* an immutable snapshot, so callers can diff across a run *)
-let counters d =
-  let z = d.counters in
-  {
-    cache_hits = z.cache_hits;
-    cache_misses = z.cache_misses;
-    component_repairs = z.component_repairs;
-    combos_streamed = z.combos_streamed;
-    components_examined = z.components_examined;
-    early_exits = z.early_exits;
-    deltas_applied = z.deltas_applied;
-    edges_added = z.edges_added;
-    edges_removed = z.edges_removed;
-    components_dirtied = z.components_dirtied;
-    cache_evicted = z.cache_evicted;
-    cache_retained = z.cache_retained;
-  }
-
-let reset_counters d =
-  let z = d.counters in
-  z.cache_hits <- 0;
-  z.cache_misses <- 0;
-  z.component_repairs <- 0;
-  z.combos_streamed <- 0;
-  z.components_examined <- 0;
-  z.early_exits <- 0;
-  z.deltas_applied <- 0;
-  z.edges_added <- 0;
-  z.edges_removed <- 0;
-  z.components_dirtied <- 0;
-  z.cache_evicted <- 0;
-  z.cache_retained <- 0
-
-let reset_cache d = Hashtbl.reset d.cache
-
-let pp_counters ppf z =
-  Format.fprintf ppf
-    "@[<v>component cache:        %d hit(s), %d miss(es), %d repair(s) \
-     materialized@,\
-     streamed:               %d repair combination(s)@,\
-     components examined:    %d (%d early exit(s))"
-    z.cache_hits z.cache_misses z.component_repairs z.combos_streamed
-    z.components_examined z.early_exits;
-  if z.deltas_applied > 0 then
-    Format.fprintf ppf
-      "@,\
-       deltas applied:         %d (%d edge(s) added, %d removed)@,\
-       delta invalidation:     %d component(s) dirtied, %d cache \
-       entr(ies) evicted, %d retained"
-      z.deltas_applied z.edges_added z.edges_removed z.components_dirtied
-      z.cache_evicted z.cache_retained;
-  Format.fprintf ppf "@]"
-
-let component_of d v =
-  if v < 0 || v >= Hyper.size d.hyper || not (Hyper.is_live d.hyper v) then
-    invalid_arg "Hdecompose.component_of";
-  let ci = d.comp_index.(v) in
-  if ci < 0 then Vset.singleton v else d.components.(ci)
-
-(* --- incremental maintenance -------------------------------------------- *)
-
-(* Components and cache after a [Hyper.apply_delta]: only components
-   actually reached by the delta are recomputed, and only their cache
-   entries die — by the delta invariants (added edges touch an inserted
-   vertex, removed edges a deleted one) an untouched component's induced
-   sub-instance is unchanged. *)
-let apply_delta d hyper priority (delta : Hyper.delta) =
-  Obs.Span.with_span "hdecompose.apply_delta" @@ fun () ->
-  let old_size = Array.length d.comp_index in
-  let hg = Hyper.hypergraph hyper in
-  let covered' = Hypergraph.covered hg in
-  let live' = Hyper.live hyper in
-  (* old component slots (and free vertices) reached by the delta *)
-  let touched = Hashtbl.create 8 in
-  let touched_free = ref Vset.empty in
-  let touch v =
-    if v < old_size && Hyper.is_live d.hyper v then begin
-      let ci = d.comp_index.(v) in
-      if ci >= 0 then Hashtbl.replace touched ci ()
-      else touched_free := Vset.add v !touched_free
-    end
-  in
-  List.iter touch delta.Hyper.deleted;
-  List.iter
-    (fun e -> Vset.iter touch e)
-    (delta.Hyper.edges_added @ delta.Hyper.edges_removed);
-  (* survivors of the touched components, touched free vertices and every
-     inserted vertex — closed under shared-edge adjacency in the new
-     hypergraph by the delta invariants *)
-  let scope =
-    Hashtbl.fold
-      (fun ci () acc -> Vset.union acc (Vset.inter d.components.(ci) live'))
-      touched
-      (Vset.union
-         (Vset.inter !touched_free live')
-         (Vset.of_list delta.Hyper.inserted))
-  in
-  let recomputed =
-    let seen = ref Vset.empty in
-    Vset.fold
-      (fun v acc ->
-        if Vset.mem v !seen then acc
-        else begin
-          let rec grow frontier comp =
-            if Vset.is_empty frontier then comp
-            else begin
-              let comp = Vset.union comp frontier in
-              let next =
-                Vset.fold
-                  (fun u acc -> Vset.union acc (Hypergraph.neighbors hg u))
-                  frontier Vset.empty
-              in
-              grow (Vset.diff next comp) comp
-            end
-          in
-          let comp = grow (Vset.singleton v) Vset.empty in
-          seen := Vset.union !seen comp;
-          comp :: acc
-        end)
-      scope []
-  in
-  (* a recomputed vertex goes back to the free set only when NO edge
-     covers it — a singleton-edge vertex keeps (or gains) a slot *)
-  let singles, multi =
-    List.partition
-      (fun comp ->
-        Vset.cardinal comp = 1 && not (Vset.mem (Vset.min_elt comp) covered'))
-      recomputed
-  in
-  let size' = max 1 (Hyper.size hyper) in
-  let old_index_len = Array.length d.comp_index in
-  let comp_index =
-    if size' = old_index_len then Array.copy d.comp_index
-    else begin
-      let a = Array.make size' (-1) in
-      Array.blit d.comp_index 0 a 0 old_index_len;
-      a
-    end
-  in
-  let freed = Hashtbl.fold (fun ci () acc -> ci :: acc) touched [] in
-  let nslots = Array.length d.components in
-  let extra = max 0 (List.length multi - List.length freed) in
-  let components = Array.make (nslots + extra) Vset.empty in
-  Array.blit d.components 0 components 0 nslots;
-  List.iter (fun ci -> components.(ci) <- Vset.empty) freed;
-  let free_slots = ref freed and fresh = ref nslots in
-  List.iter
-    (fun comp ->
-      let slot =
-        match !free_slots with
-        | ci :: rest ->
-          free_slots := rest;
-          ci
-        | [] ->
-          let ci = !fresh in
-          incr fresh;
-          ci
-      in
-      components.(slot) <- comp;
-      Vset.iter (fun v -> comp_index.(v) <- slot) comp)
-    multi;
-  List.iter
-    (fun comp -> Vset.iter (fun v -> comp_index.(v) <- -1) comp)
-    singles;
-  let free =
-    List.fold_left
-      (fun acc s -> Vset.union acc s)
-      (Vset.diff (Vset.inter d.free live') !touched_free)
-      singles
-  in
-  (* evict the dirtied slots' cache entries; every other entry stays put *)
-  let z = d.counters in
-  let cache = Hashtbl.copy d.cache in
-  Hashtbl.iter
-    (fun (family, ci) _ ->
-      if Hashtbl.mem touched ci then begin
-        Hashtbl.remove cache (family, ci);
-        z.cache_evicted <- z.cache_evicted + 1
-      end)
-    d.cache;
-  z.cache_retained <- z.cache_retained + Hashtbl.length cache;
-  z.deltas_applied <- z.deltas_applied + 1;
-  z.edges_added <- z.edges_added + List.length delta.Hyper.edges_added;
-  z.edges_removed <- z.edges_removed + List.length delta.Hyper.edges_removed;
-  z.components_dirtied <- z.components_dirtied + Hashtbl.length touched;
-  if Obs.Span.enabled () then
-    Obs.Span.annotate
-      [
-        ("dirtied", Obs.Event.Int (Hashtbl.length touched));
-        ("recomputed", Obs.Event.Int (List.length recomputed));
-      ];
-  { hyper; priority; components; free; comp_index; cache; counters = z }
-
-(* The sub-instance of one component. Tuples keep their relative order
-   under restriction, so new vertex i is the i-th smallest original id.
-   [Hyper.build] re-detects the violations of the induced tuples, which
-   are exactly the component's edges: a witness among component tuples
-   is a witness of the full instance contained in the component, and
-   minimality is hereditary (any smaller witness is a subset, hence
-   also inside the component). *)
-let sub_context d comp =
-  let rel = Hyper.to_relation d.hyper comp in
-  let sub = Hyper.build (Hyper.denials d.hyper) rel in
-  let mapping = Array.of_list (Vset.elements comp) in
-  let back = Hashtbl.create (Array.length mapping) in
-  Array.iteri (fun i v -> Hashtbl.replace back v i) mapping;
-  (* priority arcs connect co-edge facts, and every edge through a
-     component vertex lies inside the component, so probing the
-     successor sets of the component's vertices finds every arc *)
-  let arcs =
-    Vset.fold
-      (fun u acc ->
-        let u' = Hashtbl.find back u in
-        Vset.fold
-          (fun v acc ->
-            match Hashtbl.find_opt back v with
-            | Some v' -> (u', v') :: acc
-            | None -> acc)
-          (Hpriority.dominated d.priority u)
-          acc)
-      comp []
-  in
-  (sub, Hpriority.of_arcs_exn sub arcs, mapping)
-
-(* Solve one component: pure with respect to [d] except the counter
-   bumps, which go to the caller-chosen shard [z] — what lets
-   [parallel_warm] run this on worker domains. *)
-let solve_component z d family comp =
-  Obs.Span.with_span "hdecompose.component"
-    ~args:
-      [
-        ("family", Obs.Event.Str (Hfamily.name_to_string family));
-        ("size", Obs.Event.Int (Vset.cardinal comp));
-      ]
-  @@ fun () ->
-  z.cache_misses <- z.cache_misses + 1;
-  let sub, p, mapping = sub_context d comp in
-  let repairs =
-    List.map
-      (fun s -> Vset.map (fun v -> mapping.(v)) s)
-      (Hfamily.repairs family sub p)
-  in
-  z.component_repairs <- z.component_repairs + List.length repairs;
-  if Obs.Span.enabled () then
-    Obs.Span.annotate [ ("repairs", Obs.Event.Int (List.length repairs)) ];
-  repairs
-
-(* A synthesized singleton of a free vertex? Free vertices are covered
-   by no edge, so their only preferred repair (every family) is the
-   tuple itself; serving it from the free set keeps clean tuples out of
-   the cache. *)
-let free_singleton d comp =
-  Vset.cardinal comp = 1 && d.comp_index.(Vset.min_elt comp) < 0
-
-let preferred_within family d comp =
-  if free_singleton d comp then begin
-    d.counters.cache_hits <- d.counters.cache_hits + 1;
-    [ comp ]
-  end
-  else begin
-    let key = (family, d.comp_index.(Vset.min_elt comp)) in
-    match Hashtbl.find_opt d.cache key with
-    | Some repairs ->
-      d.counters.cache_hits <- d.counters.cache_hits + 1;
-      repairs
-    | None ->
-      let repairs = solve_component d.counters d family comp in
-      Hashtbl.replace d.cache key repairs;
-      repairs
-  end
-
-(* --- the parallel cache fill --------------------------------------------- *)
-
-let parallel_warm family d todo =
-  (* [todo]: (slot, component) pairs, ascending slot order. Counters
-     shard per worker lane; the submitting domain publishes the cache
-     writes in slot order after the join — workers never touch
-     [d.cache]. *)
-  let todo = Array.of_list todo in
-  let n = Array.length todo in
-  let results = Array.make n [] in
-  let shards = Array.init (Pool.jobs ()) (fun _ -> fresh_counters ()) in
-  Pool.parallel_for ~n (fun ~worker i ->
-      let _, comp = todo.(i) in
-      results.(i) <- solve_component shards.(worker) d family comp);
-  Array.iteri
-    (fun i (ci, _) -> Hashtbl.replace d.cache (family, ci) results.(i))
-    todo;
-  Array.iter (fun z -> merge_counters d.counters z) shards
-
-let warm_slots family d slots =
-  let todo =
-    List.filter_map
-      (fun ci ->
-        if Hashtbl.mem d.cache (family, ci) then begin
-          d.counters.cache_hits <- d.counters.cache_hits + 1;
-          None
-        end
-        else Some (ci, d.components.(ci)))
-      slots
-  in
-  match todo with
-  | [] -> ()
-  | [ (ci, comp) ] ->
-    Hashtbl.replace d.cache (family, ci)
-      (solve_component d.counters d family comp)
-  | todo ->
-    if Pool.jobs () <= 1 || Pool.in_parallel_region () then
-      List.iter
-        (fun (ci, comp) ->
-          Hashtbl.replace d.cache (family, ci)
-            (solve_component d.counters d family comp))
-        todo
-    else parallel_warm family d todo
-
-let warm family d = warm_slots family d (live_slots d)
-
-let count_within family d comp =
-  if free_singleton d comp then begin
-    d.counters.cache_hits <- d.counters.cache_hits + 1;
-    1
-  end
-  else begin
-    let key = (family, d.comp_index.(Vset.min_elt comp)) in
-    match Hashtbl.find_opt d.cache key with
-    | Some repairs ->
-      d.counters.cache_hits <- d.counters.cache_hits + 1;
-      List.length repairs
-    | None ->
-      Obs.Span.with_span "hdecompose.count"
-        ~args:
-          [
-            ("family", Obs.Event.Str (Hfamily.name_to_string family));
-            ("size", Obs.Event.Int (Vset.cardinal comp));
-          ]
-      @@ fun () ->
-      d.counters.cache_misses <- d.counters.cache_misses + 1;
-      let sub, p, _mapping = sub_context d comp in
-      let n = ref 0 in
-      Hfamily.iter family sub p (fun _ -> incr n);
-      !n
-  end
-
-(* repair counts multiply across components: saturate, don't wrap *)
-let sat_mul a b =
-  if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
-
-let count family d =
-  warm family d;
-  List.fold_left
-    (fun acc ci ->
-      sat_mul acc (List.length (Hashtbl.find d.cache (family, ci))))
-    1 (live_slots d)
-
-(* --- ground certainty --------------------------------------------------- *)
-
-let demand_of_clause d clause =
-  Ground.of_clause
-    ~rel_name:(Schema.name (Hyper.schema d.hyper))
-    ~index:(Hyper.index d.hyper) clause
-
-(* A clause is satisfiable by a preferred repair iff each touched
-   component has a preferred repair meeting the clause's demands there:
-   the families factorize componentwise (priorities connect co-edge
-   facts, improvements act within components) and are non-empty on
-   untouched components. *)
-exception Stop
-
-let clause_satisfiable family d { Ground.required; forbidden } =
-  (* a free vertex belongs to every preferred repair: forbidding one
-     kills the clause outright, requiring one costs nothing *)
-  if not (Vset.is_empty (Vset.inter forbidden d.free)) then false
-  else begin
-    let touched =
-      Vset.fold
-        (fun v acc ->
-          let ci = d.comp_index.(v) in
-          if ci >= 0 then Vset.add ci acc else acc)
-        (Vset.union required forbidden)
-        Vset.empty
-    in
-    if
-      Pool.jobs () > 1
-      && (not (Pool.in_parallel_region ()))
-      && Vset.cardinal touched > 1
-    then warm_slots family d (Vset.elements touched);
-    let remaining = ref (Vset.cardinal touched) in
-    try
-      Vset.iter
-        (fun ci ->
-          d.counters.components_examined <- d.counters.components_examined + 1;
-          decr remaining;
-          let comp = d.components.(ci) in
-          let req = Vset.inter required comp
-          and forb = Vset.inter forbidden comp in
-          let ok =
-            List.exists
-              (fun r -> Vset.subset req r && Vset.is_empty (Vset.inter forb r))
-              (preferred_within family d comp)
-          in
-          if not ok then begin
-            if !remaining > 0 then
-              d.counters.early_exits <- d.counters.early_exits + 1;
-            raise Stop
-          end)
-        touched;
-      true
-    with Stop -> false
-  end
-
-let some_preferred_satisfies family d q =
-  match Query.Transform.ground_dnf q with
-  | Error e -> Error e
-  | Ok clauses ->
-    List.fold_left
-      (fun acc clause ->
-        match acc with
-        | Error _ | Ok true -> acc
-        | Ok false -> (
-          match demand_of_clause d clause with
-          | Error e -> Error e
-          | Ok None -> Ok false
-          | Ok (Some demand) -> Ok (clause_satisfiable family d demand)))
-      (Ok false) clauses
-
-let certainty_ground family d q =
-  if not (Query.Ast.is_ground q) then
-    Error "certainty_ground: query is not ground"
-  else
-    match some_preferred_satisfies family d (Query.Ast.Not q) with
-    | Error e -> Error e
-    | Ok false -> Ok Cqa.Certainly_true
-    | Ok true -> (
-      match some_preferred_satisfies family d q with
-      | Error e -> Error e
-      | Ok false -> Ok Cqa.Certainly_false
-      | Ok true -> Ok Cqa.Ambiguous)
-
-(* --- streaming over the cross product ----------------------------------- *)
 
 exception Empty_family of Hfamily.name
 
-let repair_matrix family d =
-  warm family d;
-  let lists =
-    Array.of_list
-      (List.map
-         (fun ci -> Array.of_list (Hashtbl.find d.cache (family, ci)))
-         (live_slots d))
-  in
-  Array.iter
-    (fun l -> if Array.length l = 0 then raise (Empty_family family))
-    lists;
-  lists
+(* The conflict hypergraph as a component-engine substrate. A vertex is
+   covered when some hyperedge contains it, so a vertex whose only edge
+   is [{v}] has no neighbors yet forms its own one-vertex component,
+   whose only repair is empty. Sub-instances rebuild through
+   [Hyper.build], whose violation re-detection on the induced tuples
+   reproduces exactly the component's edges: a witness among component
+   tuples is a witness of the full instance, and minimality is
+   hereditary. *)
+module Hyperedges = struct
+  type t = Hyper.t
+  type priority = Hpriority.t
+  type delta = Hyper.delta
+  type family = Hfamily.name
 
-let iter family d f =
-  let lists = repair_matrix family d in
-  let k = Array.length lists in
-  if k = 0 then begin
-    d.counters.combos_streamed <- d.counters.combos_streamed + 1;
-    f d.free
-  end
-  else begin
-    let rec go i acc =
-      if i = k then begin
-        d.counters.combos_streamed <- d.counters.combos_streamed + 1;
-        f acc
-      end
-      else Array.iter (fun s -> go (i + 1) (Vset.union acc s)) lists.(i)
+  let prefix = "hdecompose"
+  let cqa_prefix = "hcqa"
+  let empty_family family = Empty_family family
+  let live = Hyper.live
+  let size = Hyper.size
+  let is_live = Hyper.is_live
+  let schema = Hyper.schema
+  let index = Hyper.index
+  let covered h = Hypergraph.covered (Hyper.hypergraph h)
+  let neighbors h v = Hypergraph.neighbors (Hyper.hypergraph h) v
+  let inserted (delta : delta) = delta.inserted
+  let deleted (delta : delta) = delta.deleted
+  let edges_added (delta : delta) = delta.edges_added
+  let edges_removed (delta : delta) = delta.edges_removed
+
+  let restrict h p comp =
+    let sub = Hyper.build (Hyper.denials h) (Hyper.to_relation h comp) in
+    let mapping, arcs =
+      Component.induced_arcs ~dominated:(Hpriority.dominated p) comp
     in
-    go 0 d.free
-  end
+    (sub, Hpriority.of_arcs_exn sub arcs, mapping)
 
-let exists family d pred =
-  try
-    iter family d (fun r -> if pred r then raise Stop);
-    false
-  with Stop -> true
+  let evaluate_in_repair h r q =
+    Planner.Engine.holds_relation (Hyper.to_relation h r) q
+end
 
-let for_all family d pred = not (exists family d (fun r -> not (pred r)))
+include Component.Make (Hyperedges) (Hfamily)
 
-let member family d r =
-  Vset.subset r (Hyper.live d.hyper)
-  && Vset.subset d.free r
-  && Array.for_all
-       (fun comp ->
-         Vset.is_empty comp
-         ||
-         let local = Vset.inter r comp in
-         List.exists (Vset.equal local) (preferred_within family d comp))
-       d.components
+type counters = Component.counters
 
-let one family d =
-  match repair_matrix family d with
-  | exception Empty_family _ -> None
-  | lists ->
-    Some (Array.fold_left (fun acc l -> Vset.union acc l.(0)) d.free lists)
-
-let evaluate_in_repair d r q =
-  Planner.Engine.holds_relation (Hyper.to_relation d.hyper r) q
-
-(* Certainty of a quantified query by deviation scan + product fallback —
-   the same two-pass structure, stop flags and counter sharding as
-   [Decompose.certainty_streaming]. *)
-let certainty_streaming family d q =
-  let eval r = evaluate_in_repair d r q in
-  let lists = repair_matrix family d in
-  let k = Array.length lists in
-  if Obs.Span.enabled () then
-    Obs.Span.annotate [ ("route", Obs.Event.Str "deviation-scan") ];
-  if k = 0 then begin
-    d.counters.combos_streamed <- d.counters.combos_streamed + 1;
-    if eval d.free then Cqa.Certainly_true else Cqa.Certainly_false
-  end
-  else begin
-    let base = Array.map (fun l -> l.(0)) lists in
-    let pre = Array.make (k + 1) d.free in
-    for i = 0 to k - 1 do
-      pre.(i + 1) <- Vset.union pre.(i) base.(i)
-    done;
-    let suf = Array.make (k + 1) Vset.empty in
-    for i = k - 1 downto 0 do
-      suf.(i) <- Vset.union suf.(i + 1) base.(i)
-    done;
-    d.counters.combos_streamed <- d.counters.combos_streamed + 1;
-    let v0 = eval pre.(k) in
-    let parallel = Pool.jobs () > 1 && not (Pool.in_parallel_region ()) in
-    (* pass 1: single-component deviations from the baseline *)
-    let deviation_found =
-      if not parallel then begin
-        try
-          for i = 0 to k - 1 do
-            d.counters.components_examined <-
-              d.counters.components_examined + 1;
-            for j = 1 to Array.length lists.(i) - 1 do
-              d.counters.combos_streamed <- d.counters.combos_streamed + 1;
-              let r =
-                Vset.union (Vset.union pre.(i) lists.(i).(j)) suf.(i + 1)
-              in
-              if eval r <> v0 then begin
-                d.counters.early_exits <- d.counters.early_exits + 1;
-                raise Stop
-              end
-            done
-          done;
-          false
-        with Stop -> true
-      end
-      else begin
-        let shards = Array.init (Pool.jobs ()) (fun _ -> fresh_counters ()) in
-        let stop = Atomic.make false in
-        let found = Atomic.make false in
-        Pool.parallel_for ~stop ~n:k (fun ~worker i ->
-            let z = shards.(worker) in
-            z.components_examined <- z.components_examined + 1;
-            let len = Array.length lists.(i) in
-            let j = ref 1 in
-            while !j < len && not (Atomic.get stop) do
-              z.combos_streamed <- z.combos_streamed + 1;
-              let r =
-                Vset.union (Vset.union pre.(i) lists.(i).(!j)) suf.(i + 1)
-              in
-              if eval r <> v0 then begin
-                z.early_exits <- z.early_exits + 1;
-                Atomic.set found true;
-                Atomic.set stop true
-              end;
-              incr j
-            done);
-        Array.iter (fun z -> merge_counters d.counters z) shards;
-        Atomic.get found
-      end
-    in
-    if deviation_found then Cqa.Ambiguous
-    else begin
-      (* pass 2: a certain verdict needs the full product whenever two
-         or more components can deviate simultaneously *)
-      let multi =
-        Array.fold_left
-          (fun acc l -> if Array.length l > 1 then acc + 1 else acc)
-          0 lists
-      in
-      if multi < 2 then
-        if v0 then Cqa.Certainly_true else Cqa.Certainly_false
-      else begin
-        if Obs.Span.enabled () then
-          Obs.Span.annotate [ ("route", Obs.Event.Str "full-product") ];
-        let disagreed =
-          if not parallel then begin
-            let rec go i acc =
-              if i = k then begin
-                d.counters.combos_streamed <- d.counters.combos_streamed + 1;
-                if eval acc <> v0 then begin
-                  d.counters.early_exits <- d.counters.early_exits + 1;
-                  raise Stop
-                end
-              end
-              else Array.iter (fun s -> go (i + 1) (Vset.union acc s)) lists.(i)
-            in
-            try
-              go 0 d.free;
-              false
-            with Stop -> true
-          end
-          else begin
-            let shards =
-              Array.init (Pool.jobs ()) (fun _ -> fresh_counters ())
-            in
-            let stop = Atomic.make false in
-            let found = Atomic.make false in
-            Pool.parallel_for ~stop ~n:(Array.length lists.(0))
-              (fun ~worker i0 ->
-                let z = shards.(worker) in
-                let rec go i acc =
-                  if Atomic.get stop then ()
-                  else if i = k then begin
-                    z.combos_streamed <- z.combos_streamed + 1;
-                    if eval acc <> v0 then begin
-                      z.early_exits <- z.early_exits + 1;
-                      Atomic.set found true;
-                      Atomic.set stop true
-                    end
-                  end
-                  else
-                    Array.iter (fun s -> go (i + 1) (Vset.union acc s)) lists.(i)
-                in
-                go 1 (Vset.union d.free lists.(0).(i0)));
-            Array.iter (fun z -> merge_counters d.counters z) shards;
-            Atomic.get found
-          end
-        in
-        if disagreed then Cqa.Ambiguous
-        else if v0 then Cqa.Certainly_true
-        else Cqa.Certainly_false
-      end
-    end
-  end
-
-let certainty family d q =
-  if not (Query.Ast.is_closed q) then
-    invalid_arg "Hdecompose.certainty: open query";
-  Obs.Span.with_span "hcqa.certainty"
-    ~args:[ ("family", Obs.Event.Str (Hfamily.name_to_string family)) ]
-  @@ fun () ->
-  let before = if Obs.Span.enabled () then Some (counters d) else None in
-  let verdict =
-    if Query.Ast.is_ground q then
-      match certainty_ground family d q with
-      | Ok cert ->
-        Obs.Span.annotate [ ("route", Obs.Event.Str "ground") ];
-        cert
-      | Error _ -> certainty_streaming family d q
-    else certainty_streaming family d q
-  in
-  (match before with
-  | None -> ()
-  | Some b ->
-    let z = d.counters in
-    Obs.Span.annotate
-      [
-        ("verdict", Obs.Event.Str (Cqa.certainty_to_string verdict));
-        ("cache_hits", Obs.Event.Int (z.cache_hits - b.cache_hits));
-        ("cache_misses", Obs.Event.Int (z.cache_misses - b.cache_misses));
-        ("combos_streamed", Obs.Event.Int (z.combos_streamed - b.combos_streamed));
-        ( "components_examined",
-          Obs.Event.Int (z.components_examined - b.components_examined) );
-        ("early_exits", Obs.Event.Int (z.early_exits - b.early_exits));
-      ]);
-  verdict
-
-let consistent_answer family d q =
-  if Query.Ast.is_ground q then
-    match some_preferred_satisfies family d (Query.Ast.Not q) with
-    | Ok sat -> not sat
-    | Error _ -> for_all family d (fun r -> evaluate_in_repair d r q)
-  else begin
-    if not (Query.Ast.is_closed q) then
-      invalid_arg "Hdecompose.consistent_answer: open query";
-    for_all family d (fun r -> evaluate_in_repair d r q)
-  end
-
-let certain_tuples family d =
-  (* edge-free tuples are in every preferred repair *)
-  fold_components
-    (fun acc comp ->
-      match preferred_within family d comp with
-      | [] -> acc
-      | first :: rest -> Vset.union acc (List.fold_left Vset.inter first rest))
-    d.free d
-
-let possible_tuples family d =
-  fold_components
-    (fun acc comp ->
-      List.fold_left Vset.union acc (preferred_within family d comp))
-    d.free d
+let hyper = substrate

@@ -1,24 +1,8 @@
 open Relational
-open Graphs
 
 type op = Delta.op = Insert of Tuple.t | Delete of Tuple.t
-
-type report = {
-  inserted : int;
-  deleted : int;
-  edges_added : int;
-  edges_removed : int;
-  components_dirtied : int;
-  cache_evicted : int;
-  cache_retained : int;
-}
-
-type t = {
-  mutable hyper : Hyper.t;
-  mutable priority : Hpriority.t;
-  mutable decompose : Hdecompose.t;
-  mutable history : op list list;  (* inverse batches, most recent first *)
-}
+type report = Component.report
+type t = Hdecompose.journal
 
 let create ?(arcs = []) denials relation =
   match Hyper.build denials relation with
@@ -26,103 +10,33 @@ let create ?(arcs = []) denials relation =
   | hyper -> (
     match Hpriority.of_arcs hyper arcs with
     | Error e -> Error (Hpriority.error_to_string e)
-    | Ok priority ->
-      Ok
-        {
-          hyper;
-          priority;
-          decompose = Hdecompose.make hyper priority;
-          history = [];
-        })
+    | Ok priority -> Ok (Hdecompose.journal (Hdecompose.make hyper priority)))
 
 let m_batch_ops =
   Obs.Registry.histogram ~buckets:Obs.Metric.size_buckets
     ~help:"Operations per accepted hyper Delta batch"
     "prefdb_hyper_delta_batch_ops"
 
-let split ops =
-  let ins, del =
-    List.fold_left
-      (fun (ins, del) -> function
-        | Insert x -> (x :: ins, del)
-        | Delete x -> (ins, x :: del))
-      ([], []) ops
-  in
-  (List.rev ins, List.rev del)
+(* Hyperedges carry no preference rule: a batch only drops the arcs its
+   deletions invalidate. *)
+let layers =
+  {
+    Hdecompose.span = "hdelta.apply";
+    patch = Hyper.apply_delta;
+    reprioritize =
+      (fun hyper priority ~dropped _delta ->
+        Result.map_error Hpriority.error_to_string
+          (Hpriority.update hyper priority ~dropped ~oriented:[]));
+    batch_ops = m_batch_ops;
+    accepted = (fun ~insert:_ ~delete:_ _ -> ());
+  }
 
-(* One batch through every layer; caller handles history. All layers
-   validate before mutating anything, so an [Error] leaves [t] as it
-   was. *)
-let apply_batch t ops =
-  Obs.Span.with_span "hdelta.apply"
-    ~args:[ ("ops", Obs.Event.Int (List.length ops)) ]
-  @@ fun () ->
-  let insert, delete = split ops in
-  match Hyper.apply_delta t.hyper ~insert ~delete with
-  | Error e -> Error e
-  | Ok (hyper, delta) -> (
-    let dropped = Vset.of_list delta.Hyper.deleted in
-    match Hpriority.update hyper t.priority ~dropped ~oriented:[] with
-    | Error e -> Error (Hpriority.error_to_string e)
-    | Ok priority ->
-      let before = Hdecompose.counters t.decompose in
-      let decompose =
-        Hdecompose.apply_delta t.decompose hyper priority delta
-      in
-      let after = Hdecompose.counters decompose in
-      t.hyper <- hyper;
-      t.priority <- priority;
-      t.decompose <- decompose;
-      Obs.Metric.observe m_batch_ops (Float.of_int (List.length ops));
-      Ok
-        {
-          inserted = List.length delta.Hyper.inserted;
-          deleted = List.length delta.Hyper.deleted;
-          edges_added = List.length delta.Hyper.edges_added;
-          edges_removed = List.length delta.Hyper.edges_removed;
-          components_dirtied =
-            after.Hdecompose.components_dirtied
-            - before.Hdecompose.components_dirtied;
-          cache_evicted =
-            after.Hdecompose.cache_evicted - before.Hdecompose.cache_evicted;
-          cache_retained =
-            after.Hdecompose.cache_retained - before.Hdecompose.cache_retained;
-        })
-
-let apply t ops =
-  (* capture before the batch mutates [t] *)
-  let insert, delete = split ops in
-  match apply_batch t ops with
-  | Error e -> Error e
-  | Ok report ->
-    let inverse =
-      List.map (fun x -> Delete x) insert @ List.map (fun x -> Insert x) delete
-    in
-    t.history <- inverse :: t.history;
-    Ok report
-
-let undo t =
-  match t.history with
-  | [] -> Error "nothing to undo"
-  | inverse :: rest -> (
-    match apply_batch t inverse with
-    | Error e -> Error e (* unreachable for inverses of accepted batches *)
-    | Ok report ->
-      t.history <- rest;
-      Ok report)
-
-let history_depth t = List.length t.history
-let drop_history t = t.history <- []
-let hyper t = t.hyper
-let priority t = t.priority
-let decompose t = t.decompose
-let relation t = Hyper.relation t.hyper
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>applied:                +%d tuple(s), -%d tuple(s) (%d hyperedge(s) \
-     added, %d removed)@,\
-     invalidation:           %d component(s) dirtied; cache %d evicted, %d \
-     retained@]"
-    r.inserted r.deleted r.edges_added r.edges_removed r.components_dirtied
-    r.cache_evicted r.cache_retained
+let apply t ops = Hdecompose.apply layers t ops
+let undo t = Hdecompose.undo layers t
+let history_depth = Hdecompose.history_depth
+let drop_history = Hdecompose.drop_history
+let decompose = Hdecompose.engine
+let hyper t = Hdecompose.hyper (decompose t)
+let priority t = Hdecompose.priority (decompose t)
+let relation t = Hyper.relation (hyper t)
+let pp_report = Component.pp_report ~edges:"hyperedge(s)"

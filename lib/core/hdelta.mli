@@ -1,25 +1,17 @@
 (** Incremental updates for denial-constraint instances — {!Delta} on
     the hyperedge substrate.
 
-    A mutable handle bundling the conflict hypergraph, a priority over
-    it and the component decomposition; {!apply} pushes a batch of
-    inserts/deletes through all three layers (each validates before
-    mutating, so a rejected batch leaves the handle untouched) and
-    records the inverse batch for {!undo}. *)
+    The {!Hdecompose} journal: {!apply} pushes a batch of
+    inserts/deletes through the hypergraph, the priority and the
+    decomposition (each validates before mutating, so a rejected batch
+    leaves the handle untouched) and records the inverse batch for
+    {!undo}. *)
 
 open Relational
 
 type op = Delta.op = Insert of Tuple.t | Delete of Tuple.t
 
-type report = {
-  inserted : int;
-  deleted : int;
-  edges_added : int;
-  edges_removed : int;
-  components_dirtied : int;
-  cache_evicted : int;
-  cache_retained : int;
-}
+type report = Component.report
 
 type t
 

@@ -26,26 +26,23 @@ type t = {
 let compute_with family d =
   let c = Decompose.conflict d in
   let p = Decompose.priority d in
-  let g = Conflict.graph c in
   let n = Vset.cardinal (Conflict.live c) in
   let before = Decompose.counters d in
-  let comps = Decompose.components d in
   let certain = Decompose.certain_tuples family d in
   let possible = Decompose.possible_tuples family d in
-  let conflicting =
-    Vset.filter
-      (fun v -> not (Vset.is_empty (Undirected.neighbors g v)))
-      (Conflict.live c)
-  in
+  (* component figures come from the stored components and the free set;
+     [Decompose.components] would synthesize a dense singleton per
+     conflict-free tuple, quadratic on a large clean instance *)
   {
     tuples = n;
-    conflict_edges = Undirected.edge_count g;
-    conflicting_tuples = Vset.cardinal conflicting;
-    components = List.length comps;
+    conflict_edges = Undirected.edge_count (Conflict.graph c);
+    conflicting_tuples = n - Vset.cardinal (Decompose.free d);
+    components = Decompose.component_count d;
     nontrivial_components =
-      List.length (List.filter (fun comp -> Vset.cardinal comp > 1) comps);
-    largest_component =
-      List.fold_left (fun acc comp -> max acc (Vset.cardinal comp)) 0 comps;
+      Decompose.fold_components
+        (fun acc comp -> if Vset.cardinal comp > 1 then acc + 1 else acc)
+        0 d;
+    largest_component = Decompose.max_component d;
     oriented_edges = Priority.arc_count p;
     total_priority = Priority.is_total c p;
     repair_count = Decompose.count Family.Rep d;

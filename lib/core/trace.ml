@@ -74,14 +74,8 @@ let certainty family d q =
     maintenance;
   }
 
-(* repair counts multiply across components: 2^63 arrives around 63
-   binary components, far within reach of real instances, so the product
-   must saturate rather than wrap *)
-let sat_mul a b =
-  if a = 0 || b = 0 then 0 else if a > max_int / b then max_int else a * b
-
 let pp_product ppf counts =
-  let product = List.fold_left sat_mul 1 counts in
+  let product = List.fold_left Component.sat_mul 1 counts in
   if product = max_int then
     (* overflowed: report the magnitude in floating point instead of a
        wrapped (possibly negative) integer *)

@@ -126,6 +126,17 @@ let buffer_out k =
     String.sub s 0 (String.length s - 1)
   else s
 
+(* Parse a query and bind it against the loaded relation: an unknown
+   relation or a wrong arity comes back as an [Error] here, before any
+   evaluator can raise on it. *)
+let parse_query spec text =
+  match Query.Parser.parse text with
+  | Error e -> Error e
+  | Ok q -> (
+    match Query.Eval.check (Database.of_relations [ spec.IF.relation ]) q with
+    | Error e -> Error e
+    | Ok () -> Ok q)
+
 (* --- individual commands --------------------------------------------------- *)
 
 let cmd_load st path =
@@ -243,8 +254,8 @@ let cmd_trace st =
    queries hit the clause engine, quantified ones the deviation-scan
    streaming — both exponential only in the largest component. *)
 let cmd_query st text =
-  with_context st (fun _spec c p ->
-      match Query.Parser.parse text with
+  with_context st (fun spec c p ->
+      match parse_query spec text with
       | Error e -> "error: " ^ e
       | Ok q ->
         let d = decompose_of st c p in
@@ -265,8 +276,8 @@ let cmd_query st text =
         end)
 
 let cmd_qtrace st text =
-  with_context st (fun _spec c p ->
-      match Query.Parser.parse text with
+  with_context st (fun spec c p ->
+      match parse_query spec text with
       | Error e -> "error: " ^ e
       | Ok q ->
         if not (Query.Ast.is_closed q) then
@@ -281,8 +292,8 @@ let cmd_qtrace st text =
    tree next to the verdict. If the session already traces to a sink
    (--trace-out), tee into it so the events reach both. *)
 let cmd_profile st text =
-  with_context st (fun _spec c p ->
-      match Query.Parser.parse text with
+  with_context st (fun spec c p ->
+      match parse_query spec text with
       | Error e -> "error: " ^ e
       | Ok q ->
         if not (Query.Ast.is_closed q) then
@@ -328,7 +339,7 @@ let planner_report st spec q =
 
 let cmd_plan st text =
   with_context st (fun spec _c _p ->
-      match Query.Parser.parse text with
+      match parse_query spec text with
       | Error e -> "error: " ^ e
       | Ok q -> (
         match planner_report st spec q with
@@ -339,7 +350,7 @@ let plan_json st text =
   match st.spec with
   | None -> Error "no instance loaded (use: load FILE)"
   | Some spec -> (
-    match Query.Parser.parse text with
+    match parse_query spec text with
     | Error e -> Error e
     | Ok q -> (
       match planner_report st spec q with
@@ -352,7 +363,7 @@ let explain_report st text =
   match st.spec with
   | None -> Error "no instance loaded (use: load FILE)"
   | Some spec -> (
-    match Query.Parser.parse text with
+    match parse_query spec text with
     | Error e -> Error e
     | Ok q -> (
       match planner_report st spec q with
@@ -364,7 +375,7 @@ let explain_report st text =
 
 let cmd_explain st text =
   with_context st (fun spec c p ->
-      match Query.Parser.parse text with
+      match parse_query spec text with
       | Error e -> "error: " ^ e
       | Ok q ->
         if not (Query.Ast.is_closed q) then "error: explain requires a closed query"
@@ -614,8 +625,8 @@ let cmd_hyper_repairs st fam limit =
             Format.fprintf ppf "... (%d more)" (List.length repairs - limit)))
 
 let cmd_hyper_query st fam text =
-  with_hyper st (fun _spec h p ->
-      match Query.Parser.parse text with
+  with_hyper st (fun spec h p ->
+      match parse_query spec text with
       | Error e -> "error: " ^ e
       | Ok q ->
         if not (Query.Ast.is_closed q) then

@@ -90,6 +90,14 @@ val drop_undo_history : state -> unit
     the undo horizon ({!Dbio.Store.log} would reject the older undos
     anyway; this makes [undo] report "nothing to undo" up front). *)
 
+val parse_query :
+  Dbio.Instance_format.spec -> string -> (Query.Ast.t, string) result
+(** Parse a query and bind it against the spec's relation: a syntax
+    error, an unknown relation or an atom of the wrong arity is an
+    [Error] — every query surface (shell, serve, one-shot CLI) goes
+    through this before evaluating, so no such query reaches an
+    evaluator that would raise on it. *)
+
 val plan_json : state -> string -> (Obs.Json.t, string) result
 (** The [plan] command's report as JSON (mode, operator tree with
     estimates and actuals, result) for the serve protocol's structured

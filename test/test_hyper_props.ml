@@ -266,6 +266,53 @@ let of_fds_certainty_matches_binary =
       Result.get_ok (Hyper.ground_certainty h q)
       = Core.Decompose.certainty Core.Family.Rep d q)
 
+(* Both engines are one functor over two substrates, so on FD inputs
+   they must do the same work, not just reach the same answers: the
+   same components solved, cache hits and misses, deviations examined
+   and combinations streamed. Sequential, because a parallel scan's stop
+   flag makes the amount of counting before an early exit
+   schedule-dependent. *)
+let of_fds_engines_count_alike =
+  prop ~count:40 "Hdecompose counters = Decompose counters on FD inputs"
+    fd_gen fd_print (fun c ->
+      let jobs = Core.Pool.jobs () in
+      Core.Pool.set_jobs 1;
+      Fun.protect ~finally:(fun () -> Core.Pool.set_jobs jobs) @@ fun () ->
+      let rng = Prng.create (c.seed + 11) in
+      let rel, fds = fd_instance c in
+      let h = Hyper.of_fds fds rel in
+      let cg = Core.Conflict.build fds rel in
+      let hd = Hdecompose.make h (Hpriority.empty h) in
+      let bd = Core.Decompose.make cg (Core.Priority.empty cg) in
+      let same () =
+        let a = Hdecompose.counters hd and b = Core.Decompose.counters bd in
+        a.cache_hits = b.cache_hits
+        && a.cache_misses = b.cache_misses
+        && a.components_examined = b.components_examined
+        && a.combos_streamed = b.combos_streamed
+        && a.early_exits = b.early_exits
+      in
+      let counted =
+        Hdecompose.count Hfamily.Rep hd = Core.Decompose.count Core.Family.Rep bd
+      in
+      let after_count = same () in
+      (* a ground query and a quantified one, to cover both routes *)
+      let ground = ground_query rng rel in
+      let quantified =
+        let schema = Relation.schema rel in
+        let vars = List.init (Schema.arity schema) (Printf.sprintf "x%d") in
+        Query.Ast.Exists
+          (vars, Query.Ast.Atom (Schema.name schema,
+                                 List.map (fun x -> Query.Ast.Var x) vars))
+      in
+      let verdicts_agree q =
+        Hdecompose.certainty Hfamily.Rep hd q
+        = Core.Decompose.certainty Core.Family.Rep bd q
+        && same ()
+      in
+      counted && after_count && verdicts_agree ground
+      && verdicts_agree (Query.Ast.And (quantified, Query.Ast.Not ground)))
+
 (* --- Hdecompose vs monolithic Hfamily -------------------------------------- *)
 
 type w_case = { seed : int; width : int; groups : int; tail : int }
@@ -467,6 +514,7 @@ let suite =
     of_fds_matches_conflict_edges;
     of_fds_matches_conflict_repairs;
     of_fds_certainty_matches_binary;
+    of_fds_engines_count_alike;
     sharded_matches_monolithic;
     families_nest;
     ("Pareto/Global hand example", `Quick, test_pareto_hand_example);

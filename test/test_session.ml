@@ -278,8 +278,28 @@ let test_profile_and_telemetry () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("session trace invalid: " ^ e)
 
+(* A query that parses but does not bind to the loaded relation is an
+   error reply on every query surface, never an escaping exception. *)
+let test_unbound_queries () =
+  let st = load () in
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun (q, needle) ->
+          let _, out = Session.exec st (cmd ^ " " ^ q) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s -> error" cmd q)
+            true
+            (Session.is_error_output out && contains ~needle out))
+        [
+          ("exists x,y. Mgr('Mary',x,y)", "arity 4");
+          ("exists x. Foo(x)", "unknown relation");
+        ])
+    [ "query"; "qtrace"; "profile"; "explain"; "hyper query" ]
+
 let suite =
   [
+    ("unbound queries are errors", `Quick, test_unbound_queries);
     ("initial state", `Quick, test_initial_state);
     ("load and info", `Quick, test_load_and_info);
     ("family switching", `Quick, test_family_switch);

@@ -121,8 +121,31 @@ let test_pp_smoke () =
   Alcotest.(check bool) "trace renders" true
     (String.length (Format.asprintf "%a" (Trace.pp c) (Trace.clean c p)) > 20)
 
+(* The summary must not synthesize one dense singleton set per
+   conflict-free fact: that is quadratic in the instance (2.7 s and
+   483 MB of top heap at 80k facts) and took a million-fact server
+   down. *)
+let test_stats_linear_in_clean_facts () =
+  let rel, fds =
+    Workload.Generator.clustered_conflicts ~facts:100_000 ~groups:512
+      ~width:8
+  in
+  let c = Conflict.build fds rel in
+  let d = Core.Decompose.make c (Priority.empty c) in
+  let before = Gc.allocated_bytes () in
+  let s = Stats.compute_with Family.Rep d in
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  if mb >= 300. then Alcotest.failf "compute_with allocated %.0f MB" mb;
+  check Alcotest.int "components = component_count"
+    (Core.Decompose.component_count d)
+    s.Stats.components;
+  check Alcotest.int "non-trivial" 512 s.Stats.nontrivial_components;
+  check Alcotest.int "largest" 8 s.Stats.largest_component;
+  check Alcotest.int "conflicting" (512 * 8) s.Stats.conflicting_tuples
+
 let suite =
   [
+    ("stats allocation is linear in clean facts", `Quick, test_stats_linear_in_clean_facts);
     ("stats on the Mgr instance", `Quick, test_stats_mgr);
     ("stats on a consistent instance", `Quick, test_stats_consistent);
     ("stats agree with decompose", `Quick, test_stats_counts_consistent_with_decompose);

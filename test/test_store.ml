@@ -619,6 +619,35 @@ let test_serve_smoke () =
   Store.close store;
   rm_rf dir
 
+(* A query the evaluator cannot bind (this store's Mgr is 3-ary) must
+   come back as an error reply, and the server must keep answering
+   afterwards. *)
+let test_serve_survives_unbound_query () =
+  let dir = temp_dir () in
+  Result.get_ok (Store.init dir (mgr_spec ()));
+  let server = Domain.spawn (fun () -> Shell.Server.serve dir) in
+  let rec await n =
+    if n = 0 then Alcotest.fail "server did not come up"
+    else if not (Shell.Server.ping dir) then begin
+      Unix.sleepf 0.05;
+      await (n - 1)
+    end
+  in
+  await 100;
+  (match Shell.Server.request dir "query exists x. Mgr('Mary',x)" with
+  | Error _ -> ()
+  | Ok out ->
+    check Alcotest.bool "bad query answered with an error" true
+      (Shell.Session.is_error_output out));
+  check Alcotest.bool "ping answers afterwards" true (Shell.Server.ping dir);
+  (match Shell.Server.request dir "shutdown" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "shutdown failed: %s" e);
+  (match Domain.join server with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "serve loop failed: %s" e);
+  rm_rf dir
+
 (* --- PREFDB_JOBS validation --------------------------------------------- *)
 
 let test_env_jobs_validation () =
@@ -732,5 +761,6 @@ let suite =
     ("stale-generation wal records are skipped", `Quick, test_stale_generation_records_skipped);
     ("session mutations gate on the journal", `Quick, test_session_journal_gate);
     ("serve loop end to end", `Quick, test_serve_smoke);
+    ("serve survives an unbound query", `Quick, test_serve_survives_unbound_query);
     ("PREFDB_JOBS validation", `Quick, test_env_jobs_validation);
   ]
